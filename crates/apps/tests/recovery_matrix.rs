@@ -111,14 +111,27 @@ fn tsp_recovers_from_worker_kill_with_replayed_schedule() {
     let params = tsp::TspParams::small();
     let dist = tsp::distance_matrix(params.ncities, params.seed);
     let (opt, _) = tsp::solve_reference(&dist, params.ncities);
-    // Record the fault-free lock-grant order...
-    let mut rec_cfg = clean_cfg(Protocol::SingleWriter, 13);
-    rec_cfg.record_sync = true;
-    let (clean, clean_result) = tsp::run(rec_cfg, params);
-    assert_eq!(clean_result.best_len, opt);
+    // Record the fault-free lock-grant order...  A worker that finds the
+    // stack momentarily empty quits the search at once, so which workers
+    // search is decided by timing, and now and then proc 0 drains the
+    // whole search alone.  Record until some worker searched (took QLOCK
+    // more than the one failed pop), and kill the busiest worker so the
+    // kill lands mid-search.
+    let (clean, victim) = (0..5)
+        .find_map(|_| {
+            let mut rec_cfg = clean_cfg(Protocol::SingleWriter, 13);
+            rec_cfg.record_sync = true;
+            let (clean, clean_result) = tsp::run(rec_cfg, params);
+            assert_eq!(clean_result.best_len, opt);
+            let locks = |n: &&cvm_dsm::NodeReport| n.stats.locks_local + n.stats.locks_remote;
+            let busiest = clean.nodes[1..].iter().max_by_key(locks)?;
+            let victim = busiest.proc;
+            (locks(&busiest) > 1).then_some((clean, victim))
+        })
+        .expect("a worker searched in one of five recordings");
     // ...and replay it through the kill, so the racy bound reads land in
     // the same intervals and byte-identity is well-defined.
-    let mut cfg = killed_cfg(Protocol::SingleWriter, 13, 1, 150);
+    let mut cfg = killed_cfg(Protocol::SingleWriter, 13, victim.0, 150);
     cfg.replay = Some(clean.schedule.clone());
     let (report, result) = tsp::run(cfg, params);
     assert_recovered(&report, "tsp");

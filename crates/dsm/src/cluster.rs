@@ -580,13 +580,7 @@ where
                 } else {
                     cfg.op_deadline
                 };
-                let limit = Instant::now() + grace;
-                while crate::pipeline::pending_epochs(&nodes[mi].state.lock()) > 0 {
-                    if Instant::now() >= limit {
-                        break;
-                    }
-                    std::thread::sleep(crate::fault::APP_POLL);
-                }
+                crate::pipeline::await_drained(&nodes[mi], Instant::now() + grace);
                 crate::pipeline::flush_deferred(&mut nodes[mi].state.lock());
             }
             // Orderly shutdown: stop the service threads.  Send errors are

@@ -46,6 +46,7 @@
 use std::collections::HashMap;
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender};
 use cvm_page::{Geometry, PageBitmaps, PageId};
@@ -109,6 +110,8 @@ pub(crate) struct PipelineState {
     any_races: bool,
     /// The epoch whose bitmap round is outstanding, if any.
     inflight: Option<Inflight>,
+    /// Wakes the run-end drain once `pending` reaches 0.
+    drained: Option<Sender<()>>,
 }
 
 impl PipelineState {
@@ -121,6 +124,7 @@ impl PipelineState {
             ckpt_gate: None,
             any_races: false,
             inflight: None,
+            drained: None,
         }
     }
 }
@@ -262,12 +266,28 @@ fn commit_cut(st: &mut NodeCore, node: &Node, epoch: u64) -> Result<(), DsmError
     crate::checkpoint::on_ckpt_go(st, epoch, races)
 }
 
-/// How many epochs the stage still owes.  The run-end flush polls this.
-pub(crate) fn pending_epochs(st: &NodeCore) -> usize {
-    st.barrier
-        .as_ref()
-        .and_then(|m| m.pipe.as_ref())
-        .map_or(0, |p| p.pending)
+/// Run-end drain: blocks until the stage owes no epoch, or until `limit`.
+/// The stage wakes the wait when `pending` reaches 0; if that completion
+/// restarted a stalled barrier, the wait re-arms.
+pub(crate) fn await_drained(node: &Node, limit: Instant) {
+    loop {
+        let woken = {
+            let mut st = node.state.lock();
+            let Some(pipe) = st.barrier.as_mut().and_then(|m| m.pipe.as_mut()) else {
+                return;
+            };
+            if pipe.pending == 0 {
+                return;
+            }
+            let (tx, rx) = crossbeam::channel::bounded(1);
+            pipe.drained = Some(tx);
+            rx
+        };
+        let left = limit.saturating_duration_since(Instant::now());
+        if let Err(RecvTimeoutError::Timeout) = woken.recv_timeout(left) {
+            return;
+        }
+    }
 }
 
 /// Run-end flush: deliver any still-deferred reports into the master's
@@ -469,6 +489,9 @@ fn complete_detection(
     pipe.pending -= 1;
     if pipe.pending > 0 {
         return Ok(());
+    }
+    if let Some(drained) = pipe.drained.take() {
+        let _ = drained.send(());
     }
     // A gated cut and a stalled barrier cannot coexist: the gate means
     // every app thread is held at the commit, so no further arrival could

@@ -7,6 +7,7 @@ use crossbeam::channel::TryRecvError;
 use cvm_vclock::ProcId;
 
 use crate::link::{metered_link, LinkRx, LinkTx};
+use crate::reliable::EngineSenders;
 use crate::stats::{ByteBreakdown, NetStats, TrafficClass};
 use crate::wire::Wire;
 
@@ -140,8 +141,10 @@ enum Transport {
     /// Straight into the destination's channel (a reliable, metered link).
     Direct(Arc<Vec<LinkTx<NetEvent>>>),
     /// Through the owning node's reliability engine (lossy wire
-    /// underneath; see [`crate::reliable`]).
-    Reliable(LinkTx<(ProcId, Packet)>),
+    /// underneath; see [`crate::reliable`]).  Every clone of the node's
+    /// senders shares one handle; the engine learns that the node will
+    /// send no more when the last clone drops.
+    Reliable(Arc<EngineSenders>),
 }
 
 /// Cloneable sending half bound to a source process.
@@ -202,9 +205,7 @@ impl NetSender {
             Transport::Direct(txs) => txs[dst.index()]
                 .send(NetEvent::Packet(pkt))
                 .map_err(|_| NetError::Disconnected),
-            Transport::Reliable(outbound) => outbound
-                .send((dst, pkt))
-                .map_err(|_| NetError::Disconnected),
+            Transport::Reliable(outbound) => outbound.send(dst, pkt),
         }
     }
 
@@ -350,8 +351,8 @@ impl Network {
         Arc<crate::reliable::ReliabilityStats>,
     ) {
         let stats = NetStats::new();
-        let (outbound_txs, deliver_rxs, rstats) = crate::reliable::build_reliable_fabric(n, loss);
-        let endpoints = outbound_txs
+        let (senders, deliver_rxs, rstats) = crate::reliable::build_reliable_fabric(n, loss);
+        let endpoints = senders
             .into_iter()
             .zip(deliver_rxs)
             .enumerate()
@@ -361,7 +362,7 @@ impl Network {
                     id,
                     sender: NetSender {
                         src: id,
-                        transport: Transport::Reliable(outbound),
+                        transport: Transport::Reliable(Arc::new(outbound)),
                         fanout: n,
                         stats: Arc::clone(&stats),
                         config,

@@ -29,6 +29,18 @@
 //! race detector above it) runs unmodified over a faulty wire — see the
 //! `lossy_wire` cluster tests and the chaos suites.
 //!
+//! # Engine
+//!
+//! Each node runs one engine thread with one inbox.  The node's own
+//! senders post outbound packets into it, peers' engines post wire frames
+//! into it, and the sender handle posts a final "senders gone" note when
+//! the node's last [`NetSender`] clone drops.  The engine blocks in that
+//! inbox until its next deadline — the earliest retransmission due, the
+//! earliest delayed-frame release, or one tick while a reordering slot
+//! holds a frame — and blocks without a timeout when no timer is armed.
+//! It exits at a scripted kill, or once its senders are gone and every
+//! flow has drained.
+//!
 //! # Determinism
 //!
 //! Every fault decision — including whether a frame is corrupted and
@@ -50,6 +62,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,7 +70,7 @@ use cvm_vclock::ProcId;
 
 use crate::link::{metered_link, LinkRx, LinkTx};
 use crate::wire::{decode_frame, encode_frame, Wire};
-use crate::{NetEvent, Packet};
+use crate::{NetError, NetEvent, Packet};
 
 /// How an injected corruption mutates a frame's bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,7 +208,8 @@ pub struct FaultPlan {
     pub dup_rate: f64,
     /// Probability in `[0, 1)` that a datagram is held back and swapped
     /// with the next datagram on the same link (a reordering window of
-    /// one; held datagrams are flushed every engine tick).
+    /// one; a held datagram is flushed once the engine's inbox has been
+    /// quiet for a tick).
     pub reorder_rate: f64,
     /// Probability in `[0, 1)` that a datagram's bytes are mutated on the
     /// wire (seeded bit-flip, truncation, or garbage tail, chosen per
@@ -449,7 +463,7 @@ pub struct ReliabilityStats {
     /// across all engines.  Non-zero here plus no delivery progress is the
     /// watchdog's credit-deadlock signature.
     pub credit_stalled_now: AtomicU64,
-    /// Deepest any transport channel (wire, outbound, delivery) ever got,
+    /// Deepest any transport channel (engine inbox, delivery) ever got,
     /// shared by the fabric's metered links.
     link_high_water: Arc<AtomicU64>,
 }
@@ -706,17 +720,48 @@ fn threshold(rate: f64) -> u64 {
     (rate * u64::MAX as f64) as u64
 }
 
-/// Per-node reliability engine, run on its own thread.
+/// What arrives in a node's engine inbox.
+enum EngineIn {
+    /// An outbound packet from one of this node's senders.
+    Send(ProcId, Packet),
+    /// A raw frame off the wire from a peer's engine (or this one's).
+    Wire(Vec<u8>),
+    /// The node's last sender clone dropped: no more `Send`s will come.
+    SendersGone,
+}
+
+/// A node's handle on its engine inbox, shared (behind an `Arc`) by every
+/// [`NetSender`](crate::NetSender) clone of the node.  Dropping it — which
+/// happens when the last clone drops — posts [`EngineIn::SendersGone`].
+pub(crate) struct EngineSenders(LinkTx<EngineIn>);
+
+impl EngineSenders {
+    /// Hands one outbound packet to the engine.
+    pub(crate) fn send(&self, dst: ProcId, packet: Packet) -> Result<(), NetError> {
+        self.0
+            .send(EngineIn::Send(dst, packet))
+            .map_err(|_| NetError::Disconnected)
+    }
+}
+
+impl Drop for EngineSenders {
+    fn drop(&mut self) {
+        // A dead engine (scripted kill) has nobody left to tell.
+        let _ = self.0.send(EngineIn::SendersGone);
+    }
+}
+
+/// Per-node reliability engine, run on its own thread and driven by its
+/// one inbox (see the module docs' *Engine* section).
 pub(crate) struct ReliabilityEngine {
     node: ProcId,
-    /// Raw wire senders to every node (faulty).  The wire carries encoded,
-    /// checksummed frames — bytes, not structures — so the fault plan can
-    /// corrupt them like a real physical layer.
-    wire_txs: Vec<LinkTx<Vec<u8>>>,
-    /// Raw wire receiver.
-    wire_rx: LinkRx<Vec<u8>>,
-    /// New outbound packets from this node's senders.
-    outbound_rx: LinkRx<(ProcId, Packet)>,
+    /// Inboxes of every node, this one included: the raw (faulty) wire.
+    /// It carries encoded, checksummed frames — bytes, not structures —
+    /// so the fault plan can corrupt them like a real physical layer.
+    inboxes: Vec<LinkTx<EngineIn>>,
+    /// This node's inbox: outbound packets, wire frames, and the
+    /// senders-gone note, in arrival order.
+    inbox: LinkRx<EngineIn>,
     /// In-order delivery (and peer-death events) to the application
     /// endpoint.
     deliver_tx: LinkTx<NetEvent>,
@@ -760,10 +805,6 @@ pub(crate) struct ReliabilityEngine {
     stats: Arc<ReliabilityStats>,
     tx_flows: HashMap<ProcId, FlowTx>,
     rx_flows: HashMap<ProcId, FlowRx>,
-    /// Keep-alive senders for parked (closed) input channels, so `select!`
-    /// blocks on the tick instead of spinning on a disconnected receiver.
-    parked_outbound: Option<LinkTx<(ProcId, Packet)>>,
-    parked_wire: Option<LinkTx<Vec<u8>>>,
 }
 
 impl ReliabilityEngine {
@@ -907,7 +948,10 @@ impl ReliabilityEngine {
     fn raw_send(&self, dst: ProcId, frame: Vec<u8>) {
         // A closed peer means shutdown is in progress; count it so
         // shutdown loss is distinguishable from wire loss.
-        if self.wire_txs[dst.index()].send(frame).is_err() {
+        if self.inboxes[dst.index()]
+            .send(EngineIn::Wire(frame))
+            .is_err()
+        {
             self.stats.peer_closed.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -992,27 +1036,22 @@ impl ReliabilityEngine {
     /// Spends credits freed by an ACK on the flow's stalled packets, in
     /// arrival order.
     fn admit_pending(&mut self, dst: ProcId) {
-        let Some(flow) = self.tx_flows.get_mut(&dst) else {
-            return;
-        };
-        if flow.pending.is_empty() {
-            return;
-        }
         while let Some(flow) = self.tx_flows.get_mut(&dst) {
-            if flow.pending.is_empty() || flow.unacked.len() as u64 >= self.window {
+            if flow.unacked.len() as u64 >= self.window {
                 break;
             }
-            let packet = flow.pending.pop_front().expect("checked non-empty");
+            let Some(packet) = flow.pending.pop_front() else {
+                break;
+            };
+            // Clear the stall gauge *before* the packet that drains it
+            // leaves: once it is on the wire the receiver may deliver it,
+            // and whoever sees that delivery must see the gauge at rest.
+            if flow.pending.is_empty() {
+                self.stats
+                    .credit_stalled_now
+                    .fetch_sub(1, Ordering::Relaxed);
+            }
             self.admit(dst, packet);
-        }
-        let drained = match self.tx_flows.get(&dst) {
-            Some(flow) => flow.pending.is_empty(),
-            None => true,
-        };
-        if drained {
-            self.stats
-                .credit_stalled_now
-                .fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -1050,7 +1089,7 @@ impl ReliabilityEngine {
                 return;
             }
         };
-        if !dgram.structurally_valid(self.wire_txs.len()) {
+        if !dgram.structurally_valid(self.inboxes.len()) {
             self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -1127,22 +1166,22 @@ impl ReliabilityEngine {
             self.send_data(dst, seq, attempt, packet);
         }
         for dst in died {
+            // Abandon the flow (also for data sent after the peer was
+            // declared dead): holding it would keep an expired timer
+            // armed and stall shutdown draining forever.
+            if let Some(flow) = self.tx_flows.get_mut(&dst) {
+                flow.unacked.clear();
+                if !flow.pending.is_empty() {
+                    flow.pending.clear();
+                    self.stats
+                        .credit_stalled_now
+                        .fetch_sub(1, Ordering::Relaxed);
+                }
+            }
             if self.dead.insert(dst) {
                 self.stats
                     .peers_declared_dead
                     .fetch_add(1, Ordering::Relaxed);
-                // Abandon the flow: the peer is gone, and holding unacked
-                // or credit-stalled data would stall shutdown draining
-                // forever.
-                if let Some(flow) = self.tx_flows.get_mut(&dst) {
-                    flow.unacked.clear();
-                    if !flow.pending.is_empty() {
-                        flow.pending.clear();
-                        self.stats
-                            .credit_stalled_now
-                            .fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
                 let _ = self.deliver_tx.send(NetEvent::PeerDead { peer: dst });
             }
         }
@@ -1168,8 +1207,9 @@ impl ReliabilityEngine {
         }
     }
 
-    /// Flushes the reordering holdback slots (called on idle ticks so a
-    /// held datagram waits at most one tick for a swap partner).
+    /// Flushes the reordering holdback slots (called once the inbox has
+    /// been quiet for a tick, so a held datagram waits for a swap partner
+    /// until no datagram or send has arrived for one tick).
     fn flush_holdback(&mut self) {
         if self.holdback.is_empty() {
             return;
@@ -1180,53 +1220,76 @@ impl ReliabilityEngine {
         }
     }
 
-    /// Parks the closed outbound channel behind a never-ready receiver so
-    /// `select!` blocks on the tick instead of spinning on the disconnect.
-    fn park_outbound(&mut self) {
-        let (tx, rx) = metered_link(self.stats.link_gauge());
-        self.parked_outbound = Some(tx);
-        self.outbound_rx = rx;
+    /// Whether nothing this engine sent is still owed to the wire.
+    fn drained(&self) -> bool {
+        self.tx_flows
+            .values()
+            .all(|f| f.unacked.is_empty() && f.pending.is_empty())
+            && self.delayed.is_empty()
+            && self.holdback.is_empty()
     }
 
-    fn park_wire(&mut self) {
-        let (tx, rx) = metered_link(self.stats.link_gauge());
-        self.parked_wire = Some(tx);
-        self.wire_rx = rx;
+    /// The next timer: the earliest retransmission due or delayed-frame
+    /// release, if any is armed.
+    fn next_timer(&self) -> Option<Instant> {
+        let dues = self
+            .tx_flows
+            .values()
+            .flat_map(|f| f.unacked.iter().map(|u| u.due));
+        dues.chain(self.delayed.iter().map(|d| d.0)).min()
     }
 
     fn run(mut self) {
-        // Event loop: new outbound sends, wire arrivals, and a periodic
-        // retransmission scan.  Exits when the outbound channel closes and
-        // every flow is drained (or the wire is gone too), or at the
-        // scripted kill point.
+        // Event loop: block in the inbox until the next timer (or one
+        // tick while a reordering slot is full; without either, block
+        // indefinitely), handle what arrived, then fire due timers.
         let tick = (self.plan.rto / 2).max(Duration::from_micros(200));
-        let mut outbound_open = true;
-        let mut wire_open = true;
+        let mut senders_gone = false;
+        // When the inbox will have been quiet for a tick; armed only while
+        // a holdback slot is full, and re-armed by every arrival.
+        let mut quiet_at: Option<Instant> = None;
         loop {
-            crossbeam::channel::select! {
-                recv(self.outbound_rx) -> msg => match msg {
-                    Ok((dst, pkt)) => {
-                        if !self.note_event() {
-                            self.handle_outbound(dst, pkt);
-                        }
+            quiet_at = (!self.holdback.is_empty())
+                .then(|| quiet_at.unwrap_or_else(|| Instant::now() + tick));
+            let wake = self.next_timer().into_iter().chain(quiet_at).min();
+            let input = match wake {
+                None => self
+                    .inbox
+                    .recv()
+                    .map_err(|_| RecvTimeoutError::Disconnected),
+                Some(at) => self
+                    .inbox
+                    .recv_timeout(at.saturating_duration_since(Instant::now())),
+            };
+            let input = match input {
+                Ok(input) => {
+                    quiet_at = None;
+                    Some(input)
+                }
+                Err(RecvTimeoutError::Timeout) => None,
+                // The engine holds a sender to its own inbox (self-sends),
+                // so the inbox cannot disconnect under it; exit if it does.
+                Err(RecvTimeoutError::Disconnected) => return,
+            };
+            match input {
+                Some(EngineIn::Send(dst, packet)) => {
+                    if !self.note_event() {
+                        self.handle_outbound(dst, packet);
                     }
-                    Err(_) => {
-                        outbound_open = false;
-                        self.park_outbound();
+                }
+                Some(EngineIn::Wire(frame)) => {
+                    if !self.note_event() {
+                        self.handle_wire(frame);
                     }
-                },
-                recv(self.wire_rx) -> msg => match msg {
-                    Ok(frame) => {
-                        if !self.note_event() {
-                            self.handle_wire(frame);
-                        }
+                }
+                Some(EngineIn::SendersGone) => senders_gone = true,
+                // A retransmission or delayed-frame timer can time the
+                // wait out first; only the quiet tick flushes the holdback.
+                None => {
+                    if quiet_at.is_some_and(|t| Instant::now() >= t) {
+                        self.flush_holdback();
                     }
-                    Err(_) => {
-                        wire_open = false;
-                        self.park_wire();
-                    }
-                },
-                default(tick) => self.flush_holdback(),
+                }
             }
             if self.killed {
                 // Crashed node: drop every channel on the way out; peers
@@ -1238,16 +1301,8 @@ impl ReliabilityEngine {
             if self.tx_flows.values().any(|f| !f.unacked.is_empty()) {
                 self.retransmit_due();
             }
-            if !outbound_open {
-                let drained = self
-                    .tx_flows
-                    .values()
-                    .all(|f| f.unacked.is_empty() && f.pending.is_empty())
-                    && self.delayed.is_empty()
-                    && self.holdback.is_empty();
-                if drained || !wire_open {
-                    return;
-                }
+            if senders_gone && self.drained() {
+                return;
             }
         }
     }
@@ -1268,34 +1323,28 @@ impl SaturatingShl for u64 {
     }
 }
 
-/// Per-node wiring of a faulty network: outbound senders (for
+/// Per-node wiring of a faulty network: engine sender handles (for
 /// `NetSender`), in-order event receivers (for `Endpoint`), and the
 /// shared stats block.
 pub(crate) type ReliableFabric = (
-    Vec<LinkTx<(ProcId, Packet)>>,
+    Vec<EngineSenders>,
     Vec<LinkRx<NetEvent>>,
     Arc<ReliabilityStats>,
 );
 
 /// Builds the per-node engines and wiring for a faulty network.  Every
-/// channel — wire, outbound, delivery — is a metered link feeding the
+/// channel — engine inbox, delivery — is a metered link feeding the
 /// shared [`ReliabilityStats::link_high_water`] gauge, so no unobservable
 /// queue survives in the transport.
 pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric {
     let stats = Arc::new(ReliabilityStats::default());
-    let mut wire_txs = Vec::with_capacity(n);
-    let mut wire_rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = metered_link::<Vec<u8>>(stats.link_gauge());
-        wire_txs.push(tx);
-        wire_rxs.push(rx);
-    }
-    let mut outbound_txs = Vec::with_capacity(n);
+    let (inboxes, inbox_rxs): (Vec<_>, Vec<_>) =
+        (0..n).map(|_| metered_link(stats.link_gauge())).unzip();
+    let mut senders = Vec::with_capacity(n);
     let mut deliver_rxs = Vec::with_capacity(n);
-    for (i, wire_rx) in wire_rxs.into_iter().enumerate() {
-        let (outbound_tx, outbound_rx) = metered_link(stats.link_gauge());
+    for (i, inbox) in inbox_rxs.into_iter().enumerate() {
         let (deliver_tx, deliver_rx) = metered_link(stats.link_gauge());
-        outbound_txs.push(outbound_tx);
+        senders.push(EngineSenders(inboxes[i].clone()));
         deliver_rxs.push(deliver_rx);
         let me = ProcId::from_index(i);
         // Collect *every* partition window scripted for this node — an
@@ -1339,9 +1388,8 @@ pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric
             .collect();
         let engine = ReliabilityEngine {
             node: me,
-            wire_txs: wire_txs.clone(),
-            wire_rx,
-            outbound_rx,
+            inboxes: inboxes.clone(),
+            inbox,
             deliver_tx,
             dice: FaultDice {
                 seed: plan.seed ^ (i as u64).wrapping_mul(0x1234_5677),
@@ -1370,8 +1418,6 @@ pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric
             stats: Arc::clone(&stats),
             tx_flows: HashMap::new(),
             rx_flows: HashMap::new(),
-            parked_outbound: None,
-            parked_wire: None,
             plan: plan.clone(),
         };
         std::thread::Builder::new()
@@ -1379,7 +1425,7 @@ pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric
             .spawn(move || engine.run())
             .expect("spawn reliability engine");
     }
-    (outbound_txs, deliver_rxs, stats)
+    (senders, deliver_rxs, stats)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use cvm_net::reliable::LossConfig;
+use cvm_net::reliable::{LossConfig, ReliabilityStats};
 use cvm_net::{ByteBreakdown, CorruptKind, FaultPlan, NetConfig, NetError, Network, TrafficClass};
 use cvm_vclock::ProcId;
 
@@ -366,4 +366,97 @@ fn credit_window_is_invisible_to_loss_repair() {
         use std::sync::atomic::Ordering;
         assert!(rstats.queue_high_water.load(Ordering::Relaxed) <= u64::from(capacity));
     }
+}
+
+#[test]
+fn sender_clone_outliving_its_endpoint_keeps_delivering() {
+    // The engine is told its senders are gone only when the node's *last*
+    // sender clone drops.  Node 0's endpoint drops first here; a `with_src`
+    // clone taken from it must still reach node 1, complete and in order.
+    let (mut eps, _, _) = Network::with_loss(2, NetConfig::default(), FaultPlan::clean(3));
+    let ep1 = eps.pop().expect("node 1");
+    let ep0 = eps.pop().expect("node 0");
+    let tx = ep0.sender().with_src(ProcId(0));
+    // An engine told too early would see the note ahead of every send
+    // below, find itself drained, and exit.
+    drop(ep0);
+    for i in 0..50 {
+        tx.send(
+            ProcId(1),
+            u64::from(i),
+            ByteBreakdown::single(TrafficClass::Data, 4),
+            payload(i),
+        )
+        .expect("node 0's engine must outlive its endpoint");
+    }
+    for i in 0..50u32 {
+        let pkt = ep1
+            .recv_timeout(Duration::from_secs(5))
+            .expect("delivery from the surviving clone");
+        assert_eq!(pkt.payload, payload(i));
+    }
+}
+
+#[test]
+fn engine_exits_once_last_sender_drops_and_flow_drains() {
+    // With node 0's endpoint and every sender clone gone and its flow
+    // drained, node 0's engine exits and closes its inbox, so node 1's
+    // frames to it start counting as `peer_closed`.
+    let plan = FaultPlan::clean(4).with_rto(Duration::from_millis(1), Duration::from_millis(4));
+    let (mut eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
+    let clone = eps[0].sender().with_src(ProcId(0));
+    send_n(&eps, 0, 1, 10);
+    assert_eq!(recv_all(&eps, 1, 10), (0..10).collect::<Vec<_>>());
+    let ep1 = eps.pop().expect("node 1");
+    drop(eps);
+    drop(clone);
+    probe_until_node0_exits(&ep1, &rstats);
+}
+
+/// Sends from `prober` to node 0 until a frame finds node 0's engine
+/// gone (`peer_closed` rises); fails if that takes over five seconds.
+fn probe_until_node0_exits(prober: &cvm_net::Endpoint, rstats: &ReliabilityStats) {
+    let tx = prober.sender();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    for i in 0.. {
+        if rstats.full().peer_closed > 0 {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "node 0's engine still running after its last sender dropped"
+        );
+        let bytes = ByteBreakdown::single(TrafficClass::Data, 4);
+        tx.send(ProcId(0), 0, bytes, payload(i))
+            .expect("the prober's own engine is up");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn engine_exits_after_sending_to_an_already_dead_peer() {
+    // Node 1 is partitioned from the start, so node 0 declares it dead.
+    // Data node 0 sends to it *afterwards* must be abandoned too once its
+    // retransmit budget runs out; otherwise node 0's flow never drains
+    // and its engine outlives its last sender.  The exit is observed as
+    // node 2's frames to node 0 counting as `peer_closed`.
+    // A budget of 30 retransmits keeps node 2 from giving up on a busy
+    // node 0 while it probes.
+    let plan = FaultPlan::clean(19)
+        .with_rto(Duration::from_millis(1), Duration::from_millis(4))
+        .with_max_retransmits(30)
+        .with_partition(ProcId(1), 0);
+    let (mut eps, _, rstats) = Network::with_loss(3, NetConfig::default(), plan);
+    send_n(&eps, 0, 1, 5);
+    match eps[0].recv() {
+        Err(NetError::PeerDead { peer }) => assert_eq!(peer, ProcId(1)),
+        other => panic!("expected peer-dead notification, got {other:?}"),
+    }
+    send_n(&eps, 0, 1, 5);
+    let ep2 = eps.pop().expect("node 2");
+    // Node 1 stays up (partitioned, not closed) so nothing it is sent
+    // counts as `peer_closed`.
+    let _ep1 = eps.pop().expect("node 1");
+    drop(eps);
+    probe_until_node0_exits(&ep2, &rstats);
 }
